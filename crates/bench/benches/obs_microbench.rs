@@ -20,11 +20,11 @@
 //! produced with it disabled.
 //!
 //! Appends the `"obs_microbench"` section to `BENCH_perf.json` (runs
-//! after `llm_microbench` in CI, so this section is last when present).
+//! after `llm_microbench` in CI, before `layout_microbench`).
 //!
 //! Run with: `cargo bench --bench obs_microbench`
 
-use scalesim_bench::{banner, write_csv, ResultTable};
+use scalesim_bench::{banner, merge_bench_section, write_csv, ResultTable};
 use scalesim_obs as obs;
 use scalesim_systolic::{ArrayShape, CoreSim, Dataflow, SimConfig};
 use scalesim_workloads::resnet18;
@@ -150,30 +150,5 @@ fn append_bench_json(per_call_ns: f64, events_per_run: u64, run_s: f64, overhead
     let _ = writeln!(section, "    \"traced_reports_identical\": true");
     let _ = writeln!(section, "  }}");
 
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_perf.json");
-    let merged = match std::fs::read_to_string(&path) {
-        Ok(mut existing) => {
-            if let Some(i) = existing.find("\n  \"obs_microbench\"") {
-                existing.truncate(i);
-                existing.truncate(existing.trim_end().len());
-                if existing.ends_with(',') {
-                    existing.pop();
-                }
-            } else {
-                existing.truncate(existing.trim_end().len());
-                match existing.pop() {
-                    Some('}') => existing.truncate(existing.trim_end().len()),
-                    _ => existing = String::from("{"),
-                }
-            }
-            if existing.trim_end().ends_with('{') {
-                format!("{existing}\n{section}}}\n")
-            } else {
-                format!("{existing},\n{section}}}\n")
-            }
-        }
-        Err(_) => format!("{{\n{section}}}\n"),
-    };
-    std::fs::write(&path, &merged).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-    println!("\n[json] {}", path.display());
+    merge_bench_section("obs_microbench", &section);
 }

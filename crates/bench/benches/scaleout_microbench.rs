@@ -20,7 +20,7 @@
 use scalesim::api::{ConfigSource, ScaleoutRequest, TopologySource};
 use scalesim::service::SimService;
 use scalesim::DiscardScaleoutSink;
-use scalesim_bench::{banner, write_csv, ResultTable};
+use scalesim_bench::{banner, merge_bench_section, write_csv, ResultTable};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -170,30 +170,5 @@ fn append_bench_json(rows: &[Row]) {
     let _ = writeln!(section, "    \"warm_plan_cache_misses\": 0");
     let _ = writeln!(section, "  }}");
 
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_perf.json");
-    let merged = match std::fs::read_to_string(&path) {
-        Ok(mut existing) => {
-            if let Some(i) = existing.find("\n  \"scaleout_microbench\"") {
-                existing.truncate(i);
-                existing.truncate(existing.trim_end().len());
-                if existing.ends_with(',') {
-                    existing.pop();
-                }
-            } else {
-                existing.truncate(existing.trim_end().len());
-                match existing.pop() {
-                    Some('}') => existing.truncate(existing.trim_end().len()),
-                    _ => existing = String::from("{"),
-                }
-            }
-            if existing.trim_end().ends_with('{') {
-                format!("{existing}\n{section}}}\n")
-            } else {
-                format!("{existing},\n{section}}}\n")
-            }
-        }
-        Err(_) => format!("{{\n{section}}}\n"),
-    };
-    std::fs::write(&path, &merged).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-    println!("\n[json] {}", path.display());
+    merge_bench_section("scaleout_microbench", &section);
 }

@@ -24,7 +24,7 @@
 //!
 //! Run with: `cargo bench --bench sched_microbench`
 
-use scalesim_bench::{banner, write_csv, ResultTable};
+use scalesim_bench::{banner, merge_bench_section, write_csv, ResultTable};
 use scalesim_sched::{Priority, Scheduler};
 use scalesim_systolic::{ArrayShape, CoreSim, Dataflow, GemmShape, PlanCache, SimConfig};
 use std::fmt::Write as _;
@@ -276,30 +276,5 @@ fn append_bench_json(race: &SpawnRace, fanout: &Fanout) {
     );
     let _ = writeln!(section, "  }}");
 
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_perf.json");
-    let merged = match std::fs::read_to_string(&path) {
-        Ok(mut existing) => {
-            if let Some(i) = existing.find("\n  \"sched_microbench\"") {
-                existing.truncate(i);
-                existing.truncate(existing.trim_end().len());
-                if existing.ends_with(',') {
-                    existing.pop();
-                }
-            } else {
-                existing.truncate(existing.trim_end().len());
-                match existing.pop() {
-                    Some('}') => existing.truncate(existing.trim_end().len()),
-                    _ => existing = String::from("{"),
-                }
-            }
-            if existing.trim_end().ends_with('{') {
-                format!("{existing}\n{section}}}\n")
-            } else {
-                format!("{existing},\n{section}}}\n")
-            }
-        }
-        Err(_) => format!("{{\n{section}}}\n"),
-    };
-    std::fs::write(&path, &merged).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
-    println!("\n[json] {}", path.display());
+    merge_bench_section("sched_microbench", &section);
 }

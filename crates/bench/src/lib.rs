@@ -4,6 +4,13 @@
 //! that regenerates one table or figure of the SCALE-Sim v3 paper,
 //! printing the same rows/series the paper reports and appending a
 //! machine-readable CSV under `target/experiments/`.
+//!
+//! The library also hosts [`layout_reference`], the seed layout kernel the
+//! layout equivalence test and `layout_microbench` compare against, and
+//! [`merge_bench_section`], which the perf harnesses use to update
+//! `BENCH_perf.json`.
+
+pub mod layout_reference;
 
 use std::fs;
 use std::path::PathBuf;
@@ -20,6 +27,38 @@ pub fn write_csv(name: &str, content: &str) {
     let path = experiments_dir().join(name);
     fs::write(&path, content).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     println!("\n[csv] {}", path.display());
+}
+
+/// Appends the `key` section of the `BENCH_perf.json` trajectory at the
+/// repo root, replacing that section and everything after it if present.
+/// `section` is the pretty-printed `  "key": {...}` member, newline-ended.
+pub fn merge_bench_section(key: &str, section: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_perf.json");
+    let merged = match fs::read_to_string(&path) {
+        Ok(mut existing) => {
+            if let Some(i) = existing.find(&format!("\n  \"{key}\"")) {
+                existing.truncate(i);
+                existing.truncate(existing.trim_end().len());
+                if existing.ends_with(',') {
+                    existing.pop();
+                }
+            } else {
+                existing.truncate(existing.trim_end().len());
+                match existing.pop() {
+                    Some('}') => existing.truncate(existing.trim_end().len()),
+                    _ => existing = String::from("{"),
+                }
+            }
+            if existing.trim_end().ends_with('{') {
+                format!("{existing}\n{section}}}\n")
+            } else {
+                format!("{existing},\n{section}}}\n")
+            }
+        }
+        Err(_) => format!("{{\n{section}}}\n"),
+    };
+    fs::write(&path, &merged).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("\n[json] {}", path.display());
 }
 
 /// Prints the experiment banner.

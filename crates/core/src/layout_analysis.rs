@@ -5,9 +5,17 @@
 //! bank-conflict cost that cycle (the SRAMs operate in parallel; the
 //! slowest one gates the array). The same stream is costed under the flat
 //! bandwidth model, and the relative difference is the Figs. 12–13 metric.
+//!
+//! The per-cycle kernel is table-driven. Each access is placed by three
+//! lookups in the operand's [`PlacementTable`] (no runtime division in
+//! the §VI equations), and line-buffer recency lives in a dense array of
+//! last-fetch cycles, one `u64` per reachable `(line, bank)` pair —
+//! about `elements · 8 / bandwidth_per_bank` bytes per operand. A stamp
+//! equal to the current cycle marks a line already counted this cycle,
+//! so no per-cycle sort or dedup is needed.
 
 use crate::config::LayoutIntegration;
-use scalesim_layout::{BankModel, LayoutSpec, TensorDims};
+use scalesim_layout::{BankModel, LayoutSpec, PlacementTable};
 use scalesim_systolic::{
     ArrayShape, CycleDemand, Dataflow, DemandGenerator, DemandSink, GemmShape, OperandMap,
 };
@@ -35,91 +43,92 @@ impl LayoutAnalysis {
     }
 }
 
+/// One operand's SRAM: its placement table and the line-buffer recency
+/// of every `(line, bank)` pair it can touch.
+struct OperandBanks {
+    table: PlacementTable,
+    /// First address of the operand's region.
+    base: u64,
+    /// Matrix columns: `offset = row · cols + col`.
+    cols: u64,
+    /// Last fetch cycle per `line · banks + bank`; [`NEVER`] if unfetched.
+    stamps: Vec<u64>,
+    /// New lines per bank in the current cycle.
+    bank_new: Vec<u64>,
+}
+
+/// Stamp of a `(line, bank)` pair that was never fetched. Cycles count
+/// from 1, so no real fetch carries it.
+const NEVER: u64 = 0;
+
+impl OperandBanks {
+    fn new(layout: &LayoutSpec, base: u64, rows: usize, cols: usize, model: &BankModel) -> Self {
+        let table = PlacementTable::matrix(layout, rows, cols, model);
+        Self {
+            stamps: vec![NEVER; table.lines() * table.banks()],
+            bank_new: vec![0; table.banks()],
+            table,
+            base,
+            cols: cols as u64,
+        }
+    }
+
+    /// Worst bank's new-line count for this operand's accesses in
+    /// `cycle`: distinct lines touched, minus those still resident in the
+    /// array-edge line buffers (fetched within `window` cycles).
+    fn new_lines(&mut self, cycle: u64, window: u64, parts: [&[u64]; 2]) -> u64 {
+        self.bank_new.fill(0);
+        let banks = self.bank_new.len();
+        for part in parts {
+            for &a in part {
+                let off = a - self.base;
+                let r = off / self.cols;
+                let p = self.table.place(r as usize, (off - r * self.cols) as usize);
+                let slot = p.line * banks + p.bank;
+                let last = self.stamps[slot];
+                // A stamp equal to `cycle` means an earlier access this
+                // cycle already counted the line.
+                if last != cycle {
+                    if last == NEVER || cycle - last > window {
+                        self.bank_new[p.bank] += 1;
+                    }
+                    self.stamps[slot] = cycle;
+                }
+            }
+        }
+        self.bank_new.iter().copied().max().unwrap_or(0)
+    }
+}
+
 struct LayoutSink {
-    map: OperandMap,
     model: BankModel,
-    ifmap: (LayoutSpec, TensorDims),
-    filter: (LayoutSpec, TensorDims),
-    ofmap: (LayoutSpec, TensorDims),
+    operands: [OperandBanks; 3],
     layout_cycles: u64,
     bandwidth_cycles: u64,
     cycles: u64,
     line_buffer_cycles: u64,
-    /// Per-operand line-buffer recency: `(bank<<40|line) → last fetch cycle`.
-    line_cache: [std::collections::HashMap<u64, u64>; 3],
-    key_scratch: Vec<u64>,
-    bank_new: Vec<u64>,
 }
 
 impl LayoutSink {
-    /// Cost of one operand's accesses this cycle: distinct lines touched,
-    /// minus those still resident in the array-edge line buffers (fetched
-    /// within `line_buffer_cycles`), grouped per bank.
-    fn operand_cost(&mut self, which: usize, addrs: &[u64], extra: Option<&[u64]>) -> (u64, u64) {
-        let (spec, dims) = match which {
-            0 => self.ifmap,
-            1 => self.filter,
-            _ => self.ofmap,
-        };
-        self.key_scratch.clear();
-        let mut elems = 0usize;
-        for &a in addrs.iter().chain(extra.into_iter().flatten()) {
-            elems += 1;
-            let (r, c) = match which {
-                0 => self.map.ifmap_coords(a),
-                1 => self.map.filter_coords(a),
-                _ => self.map.ofmap_coords(a),
-            };
-            let p = spec.place_banked(
-                dims,
-                0,
-                r,
-                c,
-                self.model.bandwidth_per_bank(),
-                self.model.num_banks(),
-            );
-            self.key_scratch
-                .push(((p.bank as u64) << 40) | p.line as u64);
-        }
+    /// `(layout, bandwidth)` cycles of one operand's accesses this cycle;
+    /// `(0, 0)` when it has none.
+    fn operand_cost(&mut self, which: usize, parts: [&[u64]; 2]) -> (u64, u64) {
+        let elems = parts[0].len() + parts[1].len();
         if elems == 0 {
             return (0, 0);
         }
-        self.key_scratch.sort_unstable();
-        self.key_scratch.dedup();
-        let cycle = self.cycles;
-        let window = self.line_buffer_cycles;
-        self.bank_new.clear();
-        self.bank_new.resize(self.model.num_banks(), 0);
-        let cache = &mut self.line_cache[which];
-        for &key in self.key_scratch.iter() {
-            let fresh =
-                matches!(cache.get(&key), Some(&last) if cycle.saturating_sub(last) <= window);
-            if !fresh {
-                self.bank_new[(key >> 40) as usize] += 1;
-            }
-            cache.insert(key, cycle);
-        }
-        // Bound the cache (stale entries are dead weight).
-        if cache.len() > 1 << 16 {
-            cache.retain(|_, &mut last| cycle.saturating_sub(last) <= window);
-        }
-        let lc = self
-            .bank_new
-            .iter()
-            .map(|&n| n.div_ceil(self.model.ports_per_bank() as u64))
-            .max()
-            .unwrap_or(0);
-        let bc = self.model.bandwidth_model_cycles(elems);
-        (lc.max(1), bc)
+        let new_lines = self.operands[which].new_lines(self.cycles, self.line_buffer_cycles, parts);
+        let lc = new_lines.div_ceil(self.model.ports_per_bank() as u64);
+        (lc.max(1), self.model.bandwidth_model_cycles(elems))
     }
 }
 
 impl DemandSink for LayoutSink {
     fn on_cycle(&mut self, d: &CycleDemand) {
         self.cycles += 1;
-        let (li, bi) = self.operand_cost(0, &d.ifmap_reads, None);
-        let (lf, bf) = self.operand_cost(1, &d.filter_reads, None);
-        let (lo, bo) = self.operand_cost(2, &d.ofmap_reads, Some(&d.ofmap_writes));
+        let (li, bi) = self.operand_cost(0, [&d.ifmap_reads, &[]]);
+        let (lf, bf) = self.operand_cost(1, [&d.filter_reads, &[]]);
+        let (lo, bo) = self.operand_cost(2, [&d.ofmap_reads, &d.ofmap_writes]);
         // The three SRAMs serve in parallel; the slowest gates the cycle.
         self.layout_cycles += li.max(lf).max(lo).max(1);
         self.bandwidth_cycles += bi.max(bf).max(bo).max(1);
@@ -135,19 +144,19 @@ pub fn layout_slowdown_for_gemm(
 ) -> LayoutAnalysis {
     let model =
         BankModel::from_total_bandwidth(cfg.total_bandwidth, cfg.num_banks, cfg.ports_per_bank);
+    let map = OperandMap::new(gemm);
+    let (m, k, n) = (gemm.m, gemm.k, gemm.n);
     let mut sink = LayoutSink {
-        map: OperandMap::new(gemm),
         model,
-        ifmap: (cfg.ifmap_layout, TensorDims::matrix(gemm.m, gemm.k)),
-        filter: (cfg.filter_layout, TensorDims::matrix(gemm.k, gemm.n)),
-        ofmap: (cfg.ofmap_layout, TensorDims::matrix(gemm.m, gemm.n)),
+        operands: [
+            OperandBanks::new(&cfg.ifmap_layout, map.ifmap(0, 0), m, k, &model),
+            OperandBanks::new(&cfg.filter_layout, map.filter(0, 0), k, n, &model),
+            OperandBanks::new(&cfg.ofmap_layout, map.ofmap(0, 0), m, n, &model),
+        ],
         layout_cycles: 0,
         bandwidth_cycles: 0,
         cycles: 0,
         line_buffer_cycles: cfg.line_buffer_cycles,
-        line_cache: Default::default(),
-        key_scratch: Vec::new(),
-        bank_new: Vec::new(),
     };
     DemandGenerator::new(array, dataflow, gemm).run(&mut sink);
     LayoutAnalysis {

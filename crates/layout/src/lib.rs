@@ -42,4 +42,4 @@ pub mod conflict;
 pub mod spec;
 
 pub use conflict::{BankModel, SlowdownReport, StreamEvaluator};
-pub use spec::{LayoutSpec, Placement, TensorDims};
+pub use spec::{LayoutSpec, Placement, PlacementTable, TensorDims};

@@ -1,6 +1,8 @@
 //! Layout specification: nested-loop dimension orders and the
 //! line/column/bank index equations of paper §VI-B.
 
+use crate::conflict::BankModel;
+
 /// Dimensions of a `C × H × W` tensor stored in the on-chip memory.
 ///
 /// Matrices are handled as `C = 1` tensors (`H` = rows, `W` = cols) or any
@@ -165,6 +167,88 @@ impl LayoutSpec {
     }
 }
 
+/// [`LayoutSpec::place_banked`] for a matrix, precomputed as lookups.
+///
+/// For a matrix (`C = 1`, rows on `h`, columns on `w`) the §VI equations
+/// split into a row part plus a column part:
+///
+/// ```text
+/// line = row_line[r] + col_line[c]   row_line[r] = ⌊r/h1⌋·⌈W/w1⌉   col_line[c] = ⌊c/w1⌋
+/// col  = row_col[r]  + col_col[c]    row_col[r]  = (r mod h1)·c1   col_col[c]  = (c mod w1)·h1·c1
+/// bank = bank_of_col[col]            bank_of_col[x] = ⌊x/bandwidth_per_bank⌋ mod banks
+/// ```
+///
+/// so a placement costs three lookups and two adds instead of the runtime
+/// divisions of `place_banked`. The tables hold `rows + cols` pairs plus
+/// one bank per reachable column.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PlacementTable {
+    /// `(row_line, row_col)` per matrix row.
+    rows: Vec<(usize, usize)>,
+    /// `(col_line, col_col)` per matrix column.
+    cols: Vec<(usize, usize)>,
+    /// Bank of every column a placement can reach.
+    bank_of_col: Vec<usize>,
+    lines: usize,
+    banks: usize,
+}
+
+impl PlacementTable {
+    /// Builds the table of a `rows × cols` matrix stored under `layout`
+    /// in the banks of `model`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` or `cols` is zero.
+    pub fn matrix(layout: &LayoutSpec, rows: usize, cols: usize, model: &BankModel) -> Self {
+        let dims = TensorDims::matrix(rows, cols);
+        let (h1, w1, c1) = (layout.h1_step, layout.w1_step, layout.c1_step);
+        let w_tiles = cols.div_ceil(w1);
+        let rows: Vec<_> = (0..rows)
+            .map(|r| ((r / h1) * w_tiles, (r % h1) * c1))
+            .collect();
+        let cols: Vec<_> = (0..cols).map(|c| (c / w1, (c % w1) * h1 * c1)).collect();
+        let max_col = |part: &[(usize, usize)]| part.iter().map(|&(_, col)| col).max();
+        let reachable = max_col(&rows).unwrap_or(0) + max_col(&cols).unwrap_or(0) + 1;
+        let bank_of_col: Vec<_> = (0..reachable)
+            .map(|x| (x / model.bandwidth_per_bank()) % model.num_banks())
+            .collect();
+        let banks = bank_of_col.iter().max().map_or(1, |&b| b + 1);
+        Self {
+            rows,
+            cols,
+            bank_of_col,
+            lines: layout.lines_needed(dims),
+            banks,
+        }
+    }
+
+    /// The placement of element `(r, c)`; equals
+    /// `layout.place_banked(dims, 0, r, c, ..)` for the table's matrix.
+    #[inline]
+    pub fn place(&self, r: usize, c: usize) -> Placement {
+        let (row_line, row_col) = self.rows[r];
+        let (col_line, col_col) = self.cols[c];
+        let col = row_col + col_col;
+        Placement {
+            line: row_line + col_line,
+            col,
+            bank: self.bank_of_col[col],
+        }
+    }
+
+    /// Lines the matrix occupies; every placed `line` is below this.
+    pub fn lines(&self) -> usize {
+        self.lines
+    }
+
+    /// Banks a placement can reach (at most the model's bank count);
+    /// every placed `bank` is below this.
+    pub fn banks(&self) -> usize {
+        self.banks
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,6 +324,55 @@ mod tests {
         let (lc2, _) = cm.place(dims, 0, 0, 1);
         assert_eq!(lc, 0);
         assert_eq!(lc2, 1);
+    }
+
+    #[test]
+    fn placement_table_matches_place_banked() {
+        let layouts = [
+            LayoutSpec::row_major(64),
+            LayoutSpec::column_major(64),
+            LayoutSpec::row_major(100),
+            LayoutSpec::new(4, 3, 5),
+            LayoutSpec::new(2, 8, 1),
+            LayoutSpec::fig11(),
+        ];
+        // (total bandwidth, banks): 100 over 16 banks leaves bandwidth 6
+        // per bank, so a 100-wide line wraps past the last bank.
+        let models = [(64, 4), (100, 16), (16, 1), (8, 32), (256, 16)];
+        for layout in &layouts {
+            for &(bandwidth, banks) in &models {
+                let model = BankModel::from_total_bandwidth(bandwidth, banks, 1);
+                for (rows, cols) in [(1, 1), (1, 37), (13, 7), (70, 130), (5, 200)] {
+                    let dims = TensorDims::matrix(rows, cols);
+                    let table = PlacementTable::matrix(layout, rows, cols, &model);
+                    for r in 0..rows {
+                        for c in 0..cols {
+                            let want = layout.place_banked(
+                                dims,
+                                0,
+                                r,
+                                c,
+                                model.bandwidth_per_bank(),
+                                model.num_banks(),
+                            );
+                            let got = table.place(r, c);
+                            assert_eq!(got, want, "{layout:?} {model:?} {rows}x{cols} ({r},{c})");
+                            assert!(got.line < table.lines() && got.bank < table.banks());
+                        }
+                    }
+                    assert!(table.banks() <= banks);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn placement_table_counts_only_reachable_banks() {
+        // A 3-column row-major matrix fills 3 columns of each 64-wide
+        // line: only bank 0 of 4 is ever touched.
+        let model = BankModel::from_total_bandwidth(64, 4, 1);
+        let table = PlacementTable::matrix(&LayoutSpec::row_major(64), 10, 3, &model);
+        assert_eq!((table.lines(), table.banks()), (10, 1));
     }
 
     #[test]
