@@ -21,16 +21,18 @@
 //! request protocol is `docs/API.md`.
 
 use scalesim::api::{
-    ConfigSource, Features, LlmRequest, RunSpec, ScaleoutRequest, SimError, SweepRequest,
-    TopologyFormat, TopologySource,
+    ConfigSource, Features, LlmRequest, Report, RunBody, RunSpec, ScaleoutRequest, SimError,
+    SweepRequest, TopologyFormat, TopologySource,
 };
 use scalesim::cli::{
     parse_cli, version_string, Command, LlmArgs, RunArgs, ScaleoutArgs, ServeArgs, SweepArgs,
 };
-use scalesim::scaleout::{scaleout_rows, ScaleoutCsvSink, ScaleoutLayerRecord};
+use scalesim::scaleout::{scaleout_rows, MemoryScaleoutSink, ScaleoutLayerRecord};
 use scalesim::serve::{ServeOptions, Server};
-use scalesim::service::{area_body, SimService};
-use scalesim::{CsvReportSink, LayerResult, ReportSections, ResultSink, RunSummary, ScaleoutSink};
+use scalesim::service::{
+    area_body, scaleout_body, sweep_body, PreparedRun, RunBodySink, SimService,
+};
+use scalesim::{LayerResult, ResultSink, ScaleoutSink};
 use scalesim_obs as obs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -88,30 +90,71 @@ fn workload_source(
     }
 }
 
-/// The run command's streaming sink: tees every finished layer into the
-/// incremental CSV writers and the O(1) run summary, printing verbose
-/// progress along the way. Layer results are dropped as soon as they
-/// are consumed — the run never materializes the whole topology.
-struct RunCliSink {
-    csv: CsvReportSink,
-    summary: RunSummary,
-    verbose: bool,
+/// Writes `reports` into `out_dir` (created when missing), one file per
+/// report named after it, returning the paths in report order. Every
+/// file the CLI produces goes through here, so on disk it holds exactly
+/// the bytes the matching serve response carries.
+fn write_reports(out_dir: &Path, reports: &[Report]) -> Result<Vec<PathBuf>, SimError> {
+    std::fs::create_dir_all(out_dir)
+        .map_err(|e| SimError::Io(format!("cannot create {}: {e}", out_dir.display())))?;
+    reports
+        .iter()
+        .map(|report| {
+            let path = out_dir.join(&report.name);
+            std::fs::write(&path, &report.content)
+                .map_err(|e| SimError::Io(format!("write {}: {e}", path.display())))?;
+            Ok(path)
+        })
+        .collect()
 }
 
-impl ResultSink for RunCliSink {
-    fn layer(&mut self, r: LayerResult) {
-        if self.verbose {
-            eprintln!(
-                "  {:<16} {:>12} cycles ({:>3.0}% util, {} stalls)",
-                r.name,
-                r.total_cycles(),
-                r.report.compute.utilization * 100.0,
-                r.stall_cycles()
-            );
-        }
-        self.summary.add(&r);
-        self.csv.layer(r);
+/// Prints a `wrote <path>` line per written file.
+fn print_written(paths: &[PathBuf]) {
+    for p in paths {
+        eprintln!("wrote {}", p.display());
     }
+}
+
+/// Forwards every streamed item to `sink` after showing it to `tap` —
+/// how the CLI prints its `-v` per-layer lines.
+struct Tap<S, F> {
+    sink: S,
+    tap: F,
+}
+
+impl<S: ResultSink, F: FnMut(&LayerResult)> ResultSink for Tap<S, F> {
+    fn layer(&mut self, r: LayerResult) {
+        (self.tap)(&r);
+        self.sink.layer(r);
+    }
+}
+
+impl<S: ScaleoutSink, F: FnMut(&ScaleoutLayerRecord)> ScaleoutSink for Tap<S, F> {
+    fn layer(&mut self, r: ScaleoutLayerRecord) {
+        (self.tap)(&r);
+        self.sink.layer(r);
+    }
+}
+
+/// Streams a prepared run into its response body, printing a progress
+/// line per layer when `verbose`.
+fn run_body(run: &PreparedRun, verbose: bool) -> RunBody {
+    let mut sink = Tap {
+        sink: RunBodySink::new(run.sim.config()),
+        tap: |r: &LayerResult| {
+            if verbose {
+                eprintln!(
+                    "  {:<16} {:>12} cycles ({:>3.0}% util, {} stalls)",
+                    r.name,
+                    r.total_cycles(),
+                    r.report.compute.utilization * 100.0,
+                    r.stall_cycles()
+                );
+            }
+        },
+    };
+    run.run_into(&mut sink);
+    sink.sink.finish()
 }
 
 fn run(service: &SimService, args: RunArgs) -> Result<(), SimError> {
@@ -134,11 +177,7 @@ fn run(service: &SimService, args: RunArgs) -> Result<(), SimError> {
         },
     };
     let prepared = service.prepare_run(&spec)?;
-    let sim = if args.profile_stages {
-        prepared.sim.clone().with_stage_profiling()
-    } else {
-        prepared.sim.clone()
-    };
+    let sim = &prepared.sim;
     let topo = &prepared.topology;
     let config = sim.config();
 
@@ -155,16 +194,10 @@ fn run(service: &SimService, args: RunArgs) -> Result<(), SimError> {
         },
     );
 
-    std::fs::create_dir_all(&args.out_dir)
-        .map_err(|e| SimError::Io(format!("cannot create {}: {e}", args.out_dir.display())))?;
-    let mut sink = RunCliSink {
-        csv: CsvReportSink::new(&args.out_dir, ReportSections::for_config(sim.config())),
-        summary: RunSummary::new(),
-        verbose: args.verbose,
-    };
-    sim.run_topology_with(topo, &mut sink);
-    let RunCliSink { csv, summary, .. } = sink;
-    let mut written = csv.finish().map_err(SimError::Io)?;
+    let RunBody {
+        summary,
+        mut reports,
+    } = run_body(&prepared, args.verbose);
 
     if args.area {
         let area = area_body(&sim.area_report());
@@ -172,12 +205,7 @@ fn run(service: &SimService, args: RunArgs) -> Result<(), SimError> {
             "area: {:.1} mm2 total ({:.1} PE array, {:.1} SRAM, {:.1} NoC, {:.1} DRAM ctrl)",
             area.total_mm2, area.pe_array_mm2, area.sram_mm2, area.noc_mm2, area.dram_ctrl_mm2,
         );
-        for report in &area.reports {
-            let path = args.out_dir.join(&report.name);
-            std::fs::write(&path, &report.content)
-                .map_err(|e| SimError::Io(format!("write {}: {e}", path.display())))?;
-            written.push(path);
-        }
+        reports.extend(area.reports);
     }
 
     eprintln!(
@@ -186,12 +214,13 @@ fn run(service: &SimService, args: RunArgs) -> Result<(), SimError> {
         summary.compute_cycles,
         summary.stall_cycles,
         if args.energy {
-            format!(", {:.3} mJ", summary.energy_mj())
+            format!(", {:.3} mJ", summary.energy_mj)
         } else {
             String::new()
         }
     );
-    if let Some(profile) = sim.stage_profile() {
+    if args.profile_stages {
+        let profile = sim.stage_profile();
         let total_ms: f64 = profile.iter().map(|t| t.millis()).sum();
         eprintln!("stage profile ({total_ms:.1} ms total):");
         for t in &profile {
@@ -220,14 +249,12 @@ fn run(service: &SimService, args: RunArgs) -> Result<(), SimError> {
             ));
         }
         json.push_str("]}\n");
-        let path = args.out_dir.join("STAGE_PROFILE.json");
-        std::fs::write(&path, json)
-            .map_err(|e| SimError::Io(format!("write {}: {e}", path.display())))?;
-        written.push(path);
+        reports.push(Report {
+            name: "STAGE_PROFILE.json".into(),
+            content: json,
+        });
     }
-    for p in written {
-        eprintln!("wrote {}", p.display());
-    }
+    print_written(&write_reports(&args.out_dir, &reports)?);
     Ok(())
 }
 
@@ -266,32 +293,21 @@ fn llm(service: &SimService, args: LlmArgs) -> Result<(), SimError> {
         config.core.dataflow,
     );
 
-    std::fs::create_dir_all(&args.out_dir)
-        .map_err(|e| SimError::Io(format!("cannot create {}: {e}", args.out_dir.display())))?;
-    let mut sink = RunCliSink {
-        csv: CsvReportSink::new(&args.out_dir, ReportSections::for_config(sim.config())),
-        summary: RunSummary::new(),
-        verbose: args.verbose,
-    };
-    prepared.run.run_into(&mut sink);
-    let RunCliSink { csv, summary, .. } = sink;
-    let written = csv.finish().map_err(SimError::Io)?;
+    let RunBody { summary, reports } = run_body(&prepared.run, args.verbose);
 
     eprintln!(
         "total: {} cycles ({} compute + {} stalls), utilization {:.1}%{}",
         summary.total_cycles,
         summary.compute_cycles,
         summary.stall_cycles,
-        summary.utilization() * 100.0,
+        summary.utilization * 100.0,
         if args.energy {
-            format!(", {:.3} mJ", summary.energy_mj())
+            format!(", {:.3} mJ", summary.energy_mj)
         } else {
             String::new()
         }
     );
-    for p in written {
-        eprintln!("wrote {}", p.display());
-    }
+    print_written(&write_reports(&args.out_dir, &reports)?);
     Ok(())
 }
 
@@ -336,41 +352,16 @@ fn sweep(service: &SimService, args: SweepArgs) -> Result<(), SimError> {
     })?;
     let elapsed = started.elapsed();
 
-    std::fs::create_dir_all(&args.out_dir)
-        .map_err(|e| SimError::Io(format!("cannot create {}: {e}", args.out_dir.display())))?;
-    for (file, content) in [
-        ("SWEEP_REPORT.csv", report.to_csv()),
-        ("SWEEP_REPORT.json", report.to_json()),
-    ] {
-        let path = args.out_dir.join(file);
-        std::fs::write(&path, content)
-            .map_err(|e| SimError::Io(format!("write {}: {e}", path.display())))?;
-        eprintln!("wrote {}", path.display());
-    }
+    let body = sweep_body(&prepared, &report);
+    print_written(&write_reports(&args.out_dir, &body.reports)?);
 
     eprintln!(
         "sweep done in {:.2}s: plan cache {} — pareto frontier: {}",
         elapsed.as_secs_f64(),
         cache,
-        report.pareto_labels().join(", "),
+        body.pareto_frontier.join(", "),
     );
     Ok(())
-}
-
-/// The scaleout command's streaming sink: tees resolved layers into
-/// the incremental CSV writer, printing verbose progress along the way.
-struct ScaleoutCliSink {
-    csv: ScaleoutCsvSink,
-    verbose: bool,
-}
-
-impl ScaleoutSink for ScaleoutCliSink {
-    fn layer(&mut self, r: ScaleoutLayerRecord) {
-        if self.verbose {
-            eprint!("  {}", scaleout_rows::scaleout(&r));
-        }
-        self.csv.layer(r);
-    }
 }
 
 fn scaleout(service: &SimService, args: ScaleoutArgs) -> Result<(), SimError> {
@@ -399,14 +390,16 @@ fn scaleout(service: &SimService, args: ScaleoutArgs) -> Result<(), SimError> {
         prepared.spec.fabric.tag(),
     );
 
-    std::fs::create_dir_all(&args.out_dir)
-        .map_err(|e| SimError::Io(format!("cannot create {}: {e}", args.out_dir.display())))?;
-    let mut sink = ScaleoutCliSink {
-        csv: ScaleoutCsvSink::new(&args.out_dir),
-        verbose: args.verbose,
+    let mut sink = Tap {
+        sink: MemoryScaleoutSink::new(),
+        tap: |r: &ScaleoutLayerRecord| {
+            if args.verbose {
+                eprint!("  {}", scaleout_rows::scaleout(r));
+            }
+        },
     };
     let summary = prepared.run_into(&mut sink)?;
-    let written = sink.csv.finish().map_err(SimError::Io)?;
+    let body = scaleout_body(&summary, sink.sink.finish());
 
     eprintln!(
         "total: {} cycles on {} ({} compute + {} exposed comm{}); \
@@ -424,7 +417,7 @@ fn scaleout(service: &SimService, args: ScaleoutArgs) -> Result<(), SimError> {
         summary.comm_cycles,
         summary.utilization() * 100.0,
     );
-    eprintln!("wrote {}", written.display());
+    print_written(&write_reports(&args.out_dir, &body.reports)?);
     Ok(())
 }
 

@@ -7,14 +7,13 @@
 //! memory ([`run_topology_with`](ScaleSim::run_topology_with)) or
 //! collect into a [`RunResult`] ([`run_topology`](ScaleSim::run_topology)).
 
+use crate::cancel::CancelToken;
 use crate::config::ScaleSimConfig;
 use crate::pipeline::{LayerPipeline, PipelineBuilder, StageTiming};
 use crate::result::{LayerResult, RunResult};
 use crate::sink::{CollectSink, ResultSink};
 use scalesim_energy::{ArchSpec, AreaBreakdown, AreaConfig, AreaTable};
-use scalesim_systolic::{
-    parallel_map_streamed, parallel_map_streamed_cancellable, GemmShape, PlanCache, Topology,
-};
+use scalesim_systolic::{parallel_map_streamed_cancellable, GemmShape, PlanCache, Topology};
 use std::sync::Arc;
 
 /// Block size of the streaming topology runner: at most this many layer
@@ -35,7 +34,7 @@ pub struct StreamStats {
 #[derive(Debug, Clone)]
 pub struct ScaleSim {
     /// The staged pipeline; shared by clones (it is immutable), so the
-    /// plan cache and the stage profiler aggregate across them.
+    /// plan cache and the stage timings aggregate across them.
     pipeline: Arc<LayerPipeline>,
 }
 
@@ -107,39 +106,21 @@ impl ScaleSim {
     /// once between them. Safe across arbitrary configurations: the
     /// cache key carries everything a plan depends on.
     ///
-    /// Rebuilds the pipeline: any stage-profiling *counters* accumulated
-    /// so far restart from zero (profiling stays enabled).
+    /// Rebuilds the pipeline: the stage timings accumulated so far
+    /// restart from zero.
     pub fn with_plan_cache(self, cache: Arc<PlanCache>) -> Self {
-        let profiled = self.pipeline.profile().is_some();
         Self {
             pipeline: Arc::new(
                 PipelineBuilder::new(self.config().clone())
                     .plan_cache(cache)
-                    .profile_stages(profiled)
                     .build(),
             ),
         }
     }
 
-    /// Enables per-stage call/time accounting; read it back with
-    /// [`stage_profile`](Self::stage_profile) (the `--profile-stages`
-    /// flag of the CLI). Rebuilds the pipeline, so enable profiling
-    /// before running layers.
-    pub fn with_stage_profiling(self) -> Self {
-        let cache = Arc::clone(self.plan_cache());
-        Self {
-            pipeline: Arc::new(
-                PipelineBuilder::new(self.config().clone())
-                    .plan_cache(cache)
-                    .profile_stages(true)
-                    .build(),
-            ),
-        }
-    }
-
-    /// The per-stage timings accumulated so far (None unless built with
-    /// [`with_stage_profiling`](Self::with_stage_profiling)).
-    pub fn stage_profile(&self) -> Option<Vec<StageTiming>> {
+    /// The per-stage call counts and wall-clock time accumulated by this
+    /// simulator's runs so far (what `--profile-stages` prints).
+    pub fn stage_profile(&self) -> Vec<StageTiming> {
         self.pipeline.profile()
     }
 
@@ -188,9 +169,9 @@ impl ScaleSim {
     /// Streams a whole topology through `sink` like
     /// [`run_topology_with`](Self::run_topology_with), but abandons the
     /// run with the token's typed [`SimError`](scalesim_api::SimError)
-    /// once `cancel` expires. Cancellation is checked at two levels:
-    /// the scheduler polls the token before *claiming* each layer (an
-    /// expired request stops taking work off the shared pool
+    /// once `cancel` (when given) expires. Cancellation is checked at
+    /// two levels: the scheduler polls the token before *claiming* each
+    /// layer (an expired request stops taking work off the shared pool
     /// immediately), and the pipeline checks it before every stage of
     /// a layer already in flight. Layers already finished when the
     /// deadline passes may still reach the sink (the caller discards
@@ -204,16 +185,16 @@ impl ScaleSim {
         &self,
         topology: &Topology,
         sink: &mut dyn ResultSink,
-        cancel: &crate::cancel::CancelToken,
+        cancel: Option<&CancelToken>,
     ) -> Result<StreamStats, scalesim_api::SimError> {
-        let expired = || cancel.expired();
+        let expired = || cancel.is_some_and(CancelToken::expired);
         let peak = parallel_map_streamed_cancellable(
             topology.layers(),
             STREAM_BLOCK,
             &expired,
             |_, layer| {
                 self.pipeline
-                    .run_layer_cancellable(layer.name(), layer.gemm(), Some(cancel))
+                    .run_layer_cancellable(layer.name(), layer.gemm(), cancel)
             },
             |_, result| {
                 if let Some(result) = result {
@@ -221,8 +202,8 @@ impl ScaleSim {
                 }
             },
         );
-        if cancel.expired() {
-            return Err(cancel.to_error());
+        if let Some(token) = cancel.filter(|token| token.expired()) {
+            return Err(token.to_error());
         }
         Ok(StreamStats {
             layers: topology.len(),
@@ -235,18 +216,12 @@ impl ScaleSim {
     /// (control the size with `SCALESIM_THREADS`) in blocks of
     /// [`STREAM_BLOCK`], and each block is pushed into the sink in layer
     /// order before the next begins. The sink observes exactly the
-    /// sequence a serial run would produce.
+    /// sequence a serial run would produce. This is
+    /// [`run_topology_cancellable`](Self::run_topology_cancellable)
+    /// without a token.
     pub fn run_topology_with(&self, topology: &Topology, sink: &mut dyn ResultSink) -> StreamStats {
-        let peak = parallel_map_streamed(
-            topology.layers(),
-            STREAM_BLOCK,
-            |_, layer| self.run_gemm(layer.name(), layer.gemm()),
-            |_, result| sink.layer(result),
-        );
-        StreamStats {
-            layers: topology.len(),
-            peak_buffered: peak,
-        }
+        self.run_topology_cancellable(topology, sink, None)
+            .expect("no cancel token, so the run always completes")
     }
 
     /// Runs a whole topology, collecting every layer.
@@ -338,6 +313,31 @@ mod tests {
         assert!(r4.noc_words > 0);
     }
 
+    /// Every partitioning scheme covers the whole GEMM: the symmetric
+    /// cores' MACs together are at least the layer's (ceil splits
+    /// over-provision).
+    #[test]
+    fn work_conservation_across_grid() {
+        let gemm = GemmShape::new(200, 120, 96);
+        for scheme in PartitionScheme::ALL {
+            let mut config = ScaleSimConfig::default();
+            config.core = small_core();
+            config.multicore = Some(MultiCoreIntegration {
+                grid: PartitionGrid::new(2, 4),
+                scheme,
+                l2: Some(L2Config::default()),
+            });
+            let r = ScaleSim::new(config).run_gemm("g", gemm);
+            assert_eq!(r.cores, 8);
+            let total_macs = r.report.compute.macs * r.cores as u64;
+            assert!(
+                total_macs >= gemm.macs(),
+                "{scheme}: {total_macs} < {}",
+                gemm.macs()
+            );
+        }
+    }
+
     #[test]
     fn topology_run_sums_layers() {
         let mut config = ScaleSimConfig::default();
@@ -419,7 +419,7 @@ mod tests {
         // An already-expired token abandons the run before any stage.
         let mut sink = CollectSink::new();
         let err = sim
-            .run_topology_cancellable(&topo, &mut sink, &crate::cancel::CancelToken::after_ms(0))
+            .run_topology_cancellable(&topo, &mut sink, Some(&CancelToken::after_ms(0)))
             .unwrap_err();
         assert_eq!((err.kind(), err.exit_code()), ("deadline", 124));
         assert!(sink.into_run().layers.is_empty(), "no layer completes");
@@ -429,11 +429,7 @@ mod tests {
         // requests that finish in time).
         let mut sink = CollectSink::new();
         let stats = sim
-            .run_topology_cancellable(
-                &topo,
-                &mut sink,
-                &crate::cancel::CancelToken::after_ms(600_000),
-            )
+            .run_topology_cancellable(&topo, &mut sink, Some(&CancelToken::after_ms(600_000)))
             .unwrap();
         assert_eq!(stats.layers, 2);
         let cancellable = sink.into_run();
@@ -451,11 +447,12 @@ mod tests {
     fn stage_profiling_survives_shared_caches() {
         let mut config = ScaleSimConfig::default();
         config.core = small_core();
-        let sim = ScaleSim::new(config).with_stage_profiling();
-        assert!(sim.stage_profile().is_some());
+        let sim = ScaleSim::new(config);
+        sim.run_gemm("g", GemmShape::new(16, 16, 16));
+        assert_eq!(sim.stage_profile()[0].calls, 1);
         let shared = sim.with_plan_cache(Arc::new(PlanCache::new()));
         shared.run_gemm("g", GemmShape::new(16, 16, 16));
-        let profile = shared.stage_profile().expect("still profiling");
+        let profile = shared.stage_profile();
         assert_eq!(profile[0].stage, "compute");
         assert_eq!(profile[0].calls, 1);
     }

@@ -77,16 +77,14 @@ pub use metrics::{LatencyHistogram, ServeMetrics};
 pub use pipeline::{LayerCtx, LayerPipeline, LayerStage, PipelineBuilder, StageEnv, StageTiming};
 pub use result::{LayerResult, RunResult};
 pub use scaleout::{
-    run_scaleout, CollectScaleoutSink, DiscardScaleoutSink, MemoryScaleoutSink, ScaleoutCsvSink,
+    run_scaleout, CollectScaleoutSink, DiscardScaleoutSink, MemoryScaleoutSink,
     ScaleoutLayerRecord, ScaleoutSink, ScaleoutSummary,
 };
 pub use serve::{ServeOptions, Server, MAX_REQUEST_BYTES};
 pub use service::{
     PreparedRun, PreparedScaleout, PreparedSweep, SimService, SERVICE_CACHE_CAPACITY,
 };
-pub use sink::{
-    CollectSink, CsvReportSink, MemoryReportSink, ReportSections, ResultSink, RunSummary,
-};
+pub use sink::{CollectSink, MemoryReportSink, ReportSections, ResultSink, RunSummary};
 pub use sweep_run::{apply_point, run_sweep, run_sweep_cached, run_sweep_with};
 
 /// Re-export: the stable typed request/response API and wire protocol.

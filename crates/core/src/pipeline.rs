@@ -31,10 +31,10 @@
 //!
 //! ## Profiling
 //!
-//! Built with [`PipelineBuilder::profile_stages`], the pipeline keeps
-//! per-stage call counts and cumulative wall-clock time (atomic, so the
-//! parallel topology path aggregates for free); `scalesim
-//! --profile-stages` prints the table.
+//! Every pipeline keeps per-stage call counts and cumulative wall-clock
+//! time (atomic, so the parallel topology path aggregates for free; two
+//! clock reads per stage per layer); `scalesim --profile-stages` prints
+//! the table.
 
 use crate::config::{ScaleSimConfig, SparsityMode};
 use crate::dram::{dram_analysis, DramAnalysis};
@@ -226,7 +226,6 @@ impl LayerStage for ComputeStage {
                     mc.grid,
                     mc.l2,
                     core_cfg.memory.dram_bandwidth,
-                    true,
                 );
                 (
                     part.sub_gemm,
@@ -422,14 +421,13 @@ pub struct LayerPipeline {
     stages: Vec<Box<dyn LayerStage>>,
     /// Per-stage call/time totals, fed by the same spans that emit
     /// trace events — one timing path for profiling and tracing.
-    profiler: Option<obs::Totals>,
+    profiler: obs::Totals,
 }
 
 impl std::fmt::Debug for LayerPipeline {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LayerPipeline")
             .field("stages", &self.stage_names())
-            .field("profiled", &self.profiler.is_some())
             .finish()
     }
 }
@@ -463,44 +461,27 @@ impl LayerPipeline {
         cancel: Option<&crate::cancel::CancelToken>,
     ) -> Option<LayerResult> {
         let mut ctx = LayerCtx::new(name, dense_gemm);
-        match &self.profiler {
-            None => {
-                for stage in &self.stages {
-                    if cancel.is_some_and(|c| c.expired()) {
-                        return None;
-                    }
-                    let _span = obs::span(obs::Category::Pipeline, stage.name());
-                    stage.run(&self.env, &mut ctx);
-                }
+        for (index, stage) in self.stages.iter().enumerate() {
+            if cancel.is_some_and(|c| c.expired()) {
+                return None;
             }
-            Some(totals) => {
-                for (index, stage) in self.stages.iter().enumerate() {
-                    if cancel.is_some_and(|c| c.expired()) {
-                        return None;
-                    }
-                    let _span = obs::span_for(obs::Category::Pipeline, stage.name(), totals, index);
-                    stage.run(&self.env, &mut ctx);
-                }
-            }
+            let _span = obs::span_for(obs::Category::Pipeline, stage.name(), &self.profiler, index);
+            stage.run(&self.env, &mut ctx);
         }
         Some(ctx.into_result())
     }
 
-    /// The per-stage timings accumulated so far (None unless built with
-    /// [`PipelineBuilder::profile_stages`]).
-    pub fn profile(&self) -> Option<Vec<StageTiming>> {
-        let totals = self.profiler.as_ref()?;
-        Some(
-            totals
-                .snapshot()
-                .into_iter()
-                .map(|(stage, calls, nanos)| StageTiming {
-                    stage,
-                    calls,
-                    nanos,
-                })
-                .collect(),
-        )
+    /// The per-stage timings accumulated so far, in stage order.
+    pub fn profile(&self) -> Vec<StageTiming> {
+        self.profiler
+            .snapshot()
+            .into_iter()
+            .map(|(stage, calls, nanos)| StageTiming {
+                stage,
+                calls,
+                nanos,
+            })
+            .collect()
     }
 }
 
@@ -509,7 +490,6 @@ impl LayerPipeline {
 pub struct PipelineBuilder {
     config: ScaleSimConfig,
     plan_cache: Option<Arc<PlanCache>>,
-    profile: bool,
     extra: Vec<Box<dyn LayerStage>>,
 }
 
@@ -519,7 +499,6 @@ impl PipelineBuilder {
         Self {
             config,
             plan_cache: None,
-            profile: false,
             extra: Vec::new(),
         }
     }
@@ -528,12 +507,6 @@ impl PipelineBuilder {
     /// grid) instead of creating a private one.
     pub fn plan_cache(mut self, cache: Arc<PlanCache>) -> Self {
         self.plan_cache = Some(cache);
-        self
-    }
-
-    /// Enables per-stage call/time accounting (`--profile-stages`).
-    pub fn profile_stages(mut self, on: bool) -> Self {
-        self.profile = on;
         self
     }
 
@@ -564,10 +537,8 @@ impl PipelineBuilder {
             stages.push(Box::new(EnergyStage));
         }
         stages.extend(self.extra);
-        let profiler = self.profile.then(|| {
-            let names: Vec<&'static str> = stages.iter().map(|s| s.name()).collect();
-            obs::Totals::new(&names)
-        });
+        let names: Vec<&'static str> = stages.iter().map(|s| s.name()).collect();
+        let profiler = obs::Totals::new(&names);
         LayerPipeline {
             env: StageEnv {
                 config: self.config,
@@ -628,11 +599,11 @@ mod tests {
     fn profiler_counts_every_stage_once_per_layer() {
         let mut config = small_config();
         config.enable_dram = true;
-        let pipeline = PipelineBuilder::new(config).profile_stages(true).build();
+        let pipeline = PipelineBuilder::new(config).build();
         for i in 0..3 {
             pipeline.run_layer(&format!("l{i}"), GemmShape::new(16, 16, 16));
         }
-        let profile = pipeline.profile().expect("profiling enabled");
+        let profile = pipeline.profile();
         assert_eq!(profile.len(), 2);
         for t in &profile {
             assert_eq!(t.calls, 3, "{}", t.stage);

@@ -4,6 +4,7 @@
 
 use crate::dram::DramAnalysis;
 use crate::layout_analysis::LayoutAnalysis;
+use crate::sink::{MemoryReportSink, ReportSections};
 use scalesim_energy::EnergyReport;
 use scalesim_sparse::SparseReportRow;
 use scalesim_systolic::{GemmShape, LayerReport};
@@ -53,11 +54,8 @@ impl LayerResult {
     }
 }
 
-/// Per-layer CSV row formatters shared by the batch emitters on
-/// [`RunResult`] and the streaming [`CsvReportSink`](crate::sink::CsvReportSink).
-///
-/// Keeping one source of truth for every row format is what makes
-/// streamed reports byte-identical to batch reports by construction.
+/// Per-layer CSV row formatters of the one report emitter,
+/// [`MemoryReportSink`].
 pub mod rows {
     use super::LayerResult;
 
@@ -196,37 +194,41 @@ impl RunResult {
         self.layers.iter().map(|l| l.report.compute.macs).sum()
     }
 
+    /// Every report the layers produce, as `(file name, content)` pairs
+    /// in emission order: one fold through [`MemoryReportSink`] with
+    /// every section enabled, so an optional report exists exactly when
+    /// some layer has a row for it.
+    fn reports(&self) -> Vec<(&'static str, String)> {
+        let mut sink = MemoryReportSink::new(ReportSections::ALL);
+        for l in &self.layers {
+            sink.add(l);
+        }
+        sink.finish()
+    }
+
+    /// The content of report `name` (empty when the run produced none).
+    fn report(&self, name: &str) -> String {
+        self.reports()
+            .into_iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, content)| content)
+            .unwrap_or_default()
+    }
+
     /// The `COMPUTE_REPORT.csv` equivalent.
     pub fn compute_report_csv(&self) -> String {
-        let mut out = String::from(rows::COMPUTE_HEADER);
-        for l in &self.layers {
-            out.push_str(&rows::compute(l));
-        }
-        out
+        self.report("COMPUTE_REPORT.csv")
     }
 
     /// The `BANDWIDTH_REPORT.csv` equivalent (average words/cycle per
     /// interface over each layer).
     pub fn bandwidth_report_csv(&self) -> String {
-        let mut out = String::from(rows::BANDWIDTH_HEADER);
-        for l in &self.layers {
-            out.push_str(&rows::bandwidth(l));
-        }
-        out
+        self.report("BANDWIDTH_REPORT.csv")
     }
 
     /// The `SPARSE_REPORT.csv` equivalent (empty string when dense).
     pub fn sparse_report_csv(&self) -> String {
-        if self.layers.iter().all(|l| l.sparse.is_none()) {
-            return String::new();
-        }
-        let mut out = String::from(rows::SPARSE_HEADER);
-        for l in &self.layers {
-            if let Some(row) = rows::sparse(l) {
-                out.push_str(&row);
-            }
-        }
-        out
+        self.report("SPARSE_REPORT.csv")
     }
 
     /// Total DRAM energy over the run in mJ (0.0 when DRAM is disabled).
@@ -240,30 +242,12 @@ impl RunResult {
     /// Per-layer DRAM CSV — replay statistics plus the IDD power model
     /// (empty when the DRAM flow is disabled).
     pub fn dram_report_csv(&self) -> String {
-        if self.layers.iter().all(|l| l.dram.is_none()) {
-            return String::new();
-        }
-        let mut out = String::from(rows::DRAM_HEADER);
-        for l in &self.layers {
-            if let Some(row) = rows::dram(l) {
-                out.push_str(&row);
-            }
-        }
-        out
+        self.report("DRAM_REPORT.csv")
     }
 
     /// Per-layer energy CSV (empty when energy is disabled).
     pub fn energy_report_csv(&self) -> String {
-        if self.layers.iter().all(|l| l.energy.is_none()) {
-            return String::new();
-        }
-        let mut out = String::from(rows::ENERGY_HEADER);
-        for l in &self.layers {
-            if let Some(row) = rows::energy(l) {
-                out.push_str(&row);
-            }
-        }
-        out
+        self.report("ENERGY_REPORT.csv")
     }
 }
 

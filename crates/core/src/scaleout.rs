@@ -18,8 +18,8 @@
 //! `SCALESIM_THREADS`) — each finished layer is joined with its
 //! collective cost in the [`OverlapTimeline`] (one-layer lookahead, so
 //! O(1) buffered state), and every resolved row is pushed into a
-//! [`ScaleoutSink`] — the CSV file writer, the in-memory twin the serve
-//! mode uses, or a collector.
+//! [`ScaleoutSink`] — the report emitter ([`MemoryScaleoutSink`]), a
+//! collector, or a discarding sink.
 //!
 //! [`PlanCache`]: scalesim_systolic::PlanCache
 
@@ -31,9 +31,6 @@ use scalesim_collective::{
     OverlapTimeline, ScaleoutSpec, Strategy,
 };
 use scalesim_systolic::{GemmShape, Layer, Topology};
-use std::fs::File;
-use std::io::{BufWriter, Write};
-use std::path::PathBuf;
 
 /// One layer of a scale-out run: the shard every chip executed, its
 /// compute cost, and the overlap-split collective that closed it.
@@ -68,9 +65,8 @@ impl ScaleoutLayerRecord {
     }
 }
 
-/// Per-layer CSV row formatting of `SCALEOUT_REPORT.csv` — one source
-/// of truth shared by the file sink and the in-memory sink, which is
-/// what makes serve-mode report bytes identical to the CLI's file.
+/// Per-layer CSV row formatting of `SCALEOUT_REPORT.csv` (used by
+/// [`MemoryScaleoutSink`] and the CLI's `-v` progress lines).
 pub mod scaleout_rows {
     use super::ScaleoutLayerRecord;
 
@@ -118,68 +114,10 @@ impl ScaleoutSink for CollectScaleoutSink {
     }
 }
 
-/// Streams `SCALEOUT_REPORT.csv` to a directory row by row (the
-/// scale-out twin of [`crate::sink::CsvReportSink`]): header on
-/// creation, O(1) buffering, I/O errors latched and surfaced by
-/// [`finish`](Self::finish).
-pub struct ScaleoutCsvSink {
-    path: PathBuf,
-    writer: Option<BufWriter<File>>,
-    error: Option<String>,
-}
-
-impl ScaleoutCsvSink {
-    /// Creates `SCALEOUT_REPORT.csv` in `out_dir` (which must exist)
-    /// and writes the header.
-    pub fn new(out_dir: impl Into<PathBuf>) -> Self {
-        let path = out_dir.into().join("SCALEOUT_REPORT.csv");
-        let (writer, error) = match File::create(&path) {
-            Ok(f) => {
-                let mut w = BufWriter::new(f);
-                match w.write_all(scaleout_rows::SCALEOUT_HEADER.as_bytes()) {
-                    Ok(()) => (Some(w), None),
-                    Err(e) => (None, Some(format!("write {}: {e}", path.display()))),
-                }
-            }
-            Err(e) => (None, Some(format!("create {}: {e}", path.display()))),
-        };
-        Self {
-            path,
-            writer,
-            error,
-        }
-    }
-
-    /// Flushes, returning the written path or the first I/O error.
-    pub fn finish(mut self) -> Result<PathBuf, String> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        if let Some(w) = self.writer.as_mut() {
-            w.flush()
-                .map_err(|e| format!("flush {}: {e}", self.path.display()))?;
-        }
-        Ok(self.path)
-    }
-}
-
-impl ScaleoutSink for ScaleoutCsvSink {
-    fn layer(&mut self, record: ScaleoutLayerRecord) {
-        if self.error.is_some() {
-            return;
-        }
-        if let Some(w) = self.writer.as_mut() {
-            if let Err(e) = w.write_all(scaleout_rows::scaleout(&record).as_bytes()) {
-                self.error = Some(format!("write {}: {e}", self.path.display()));
-            }
-        }
-    }
-}
-
-/// Collects `SCALEOUT_REPORT.csv` into a string — what the
-/// request/response facade embeds in a
-/// [`SimResponse`](scalesim_api::SimResponse). Byte-identical to the
-/// file [`ScaleoutCsvSink`] writes for the same run.
+/// Collects `SCALEOUT_REPORT.csv` into a string — the one scale-out
+/// report emitter: the request/response facade embeds it in a
+/// [`SimResponse`](scalesim_api::SimResponse) and the CLI writes the
+/// same bytes to disk.
 #[derive(Debug, Clone)]
 pub struct MemoryScaleoutSink {
     content: String,
@@ -651,24 +589,19 @@ mod tests {
         assert!(err.contains("power-of-two"), "{err}");
     }
 
+    /// The report bytes are the header plus one formatted row per
+    /// resolved record, in layer order.
     #[test]
     fn memory_sink_matches_csv_sink_bytes() {
-        let dir = std::env::temp_dir().join(format!("scalesim-so-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
         let s = sim();
-        let mut file_sink = ScaleoutCsvSink::new(&dir);
-        run_scaleout(
-            &s,
-            &topo(),
-            &spec(Strategy::DataParallel, 8),
-            &mut file_sink,
-        )
-        .unwrap();
-        let path = file_sink.finish().unwrap();
+        let mut records = CollectScaleoutSink::default();
+        run_scaleout(&s, &topo(), &spec(Strategy::DataParallel, 8), &mut records).unwrap();
         let mut mem_sink = MemoryScaleoutSink::new();
         run_scaleout(&s, &topo(), &spec(Strategy::DataParallel, 8), &mut mem_sink).unwrap();
-        assert_eq!(std::fs::read_to_string(path).unwrap(), mem_sink.finish());
-        let _ = std::fs::remove_dir_all(&dir);
+        let mut expected = scaleout_rows::SCALEOUT_HEADER.to_string();
+        for r in &records.records {
+            expected.push_str(&scaleout_rows::scaleout(r));
+        }
+        assert_eq!(mem_sink.finish(), expected);
     }
 }

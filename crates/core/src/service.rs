@@ -38,6 +38,7 @@ use crate::cfg::parse_cfg;
 use crate::config::{MultiCoreIntegration, ScaleSimConfig};
 use crate::engine::{ScaleSim, StreamStats};
 use crate::metrics::ServeMetrics;
+use crate::result::LayerResult;
 use crate::scaleout::{run_scaleout, MemoryScaleoutSink, ScaleoutSink, ScaleoutSummary};
 use crate::sink::{MemoryReportSink, ReportSections, ResultSink, RunSummary};
 use crate::sweep_run::run_sweep_cached;
@@ -331,9 +332,8 @@ impl SimService {
 
     /// Loads and validates everything a run request needs, returning
     /// the ready-to-execute pair. The CLI uses this directly so it can
-    /// stream results into its own sinks (progress lines, incremental
-    /// CSV files); [`handle`](Self::handle) collects into a
-    /// [`RunBody`].
+    /// print per-layer progress while a [`RunBodySink`] builds the same
+    /// [`RunBody`] that [`handle`](Self::handle) answers with.
     ///
     /// # Errors
     ///
@@ -466,9 +466,10 @@ impl SimService {
         }
         // A grid whose worst-case plan count exceeds the shared cache's
         // capacity gets its own right-sized cache instead: the shared
-        // cache evicts by clearing wholesale, so an oversized sweep
-        // would thrash itself *and* wipe every other request's warm
-        // plans. Small sweeps keep sharing (and warming) the service
+        // cache evicts entry by entry (GreedyDual-Size), so an oversized
+        // sweep would churn through it, evicting its own plans before
+        // they are reused *and* every other request's warm plans along
+        // the way. Small sweeps keep sharing (and warming) the service
         // cache. Either way results are identical — only planning time
         // differs.
         let distinct_shapes: usize = topologies.iter().map(|t| t.len()).sum::<usize>().max(1);
@@ -491,7 +492,7 @@ impl SimService {
     /// per-chip architecture (whose `[scaleout]` section seeds the
     /// scale-out parameters), the workload, and the request's
     /// overrides. The CLI drives the prepared run itself so it can
-    /// stream `SCALEOUT_REPORT.csv` rows to disk.
+    /// print per-layer progress.
     ///
     /// # Errors
     ///
@@ -573,8 +574,8 @@ impl PreparedRun {
     }
 
     /// Executes the run, collecting the response body: the O(1) summary
-    /// plus every report the configuration produces, byte-identical to
-    /// the files the CLI writes.
+    /// plus every report the configuration produces — the reports the
+    /// CLI writes to disk.
     pub fn into_body(self) -> RunBody {
         self.into_body_cancellable(None)
             .expect("no cancel token, so the run always completes")
@@ -590,34 +591,37 @@ impl PreparedRun {
     /// `Deadline` when the token expires mid-run; partial results are
     /// discarded (a deadline response never carries a body).
     pub fn into_body_cancellable(self, cancel: Option<&CancelToken>) -> Result<RunBody, SimError> {
-        let mut csv = MemoryReportSink::new(ReportSections::for_config(self.sim.config()));
-        let mut summary = RunSummary::new();
-        struct Tee<'a> {
-            csv: &'a mut MemoryReportSink,
-            summary: &'a mut RunSummary,
+        let mut sink = RunBodySink::new(self.sim.config());
+        self.sim
+            .run_topology_cancellable(&self.topology, &mut sink, cancel)?;
+        Ok(sink.finish())
+    }
+}
+
+/// Builds a run's response body as layers stream in: the O(1)
+/// [`RunSummary`] plus the reports of the one emitter,
+/// [`MemoryReportSink`]. Serve answers with its [`RunBody`]; the CLI
+/// writes the body's reports to disk.
+pub struct RunBodySink {
+    reports: MemoryReportSink,
+    summary: RunSummary,
+}
+
+impl RunBodySink {
+    /// An empty body for a run of `config`.
+    pub fn new(config: &ScaleSimConfig) -> Self {
+        Self {
+            reports: MemoryReportSink::new(ReportSections::for_config(config)),
+            summary: RunSummary::new(),
         }
-        impl ResultSink for Tee<'_> {
-            fn layer(&mut self, result: crate::result::LayerResult) {
-                self.summary.add(&result);
-                self.csv.layer(result);
-            }
-        }
-        let mut tee = Tee {
-            csv: &mut csv,
-            summary: &mut summary,
-        };
-        match cancel {
-            Some(token) => {
-                self.sim
-                    .run_topology_cancellable(&self.topology, &mut tee, token)?;
-            }
-            None => {
-                self.sim.run_topology_with(&self.topology, &mut tee);
-            }
-        }
-        Ok(RunBody {
-            summary: summary_body(&summary),
-            reports: csv
+    }
+
+    /// The finished response body.
+    pub fn finish(self) -> RunBody {
+        RunBody {
+            summary: summary_body(&self.summary),
+            reports: self
+                .reports
                 .finish()
                 .into_iter()
                 .map(|(name, content)| Report {
@@ -625,7 +629,14 @@ impl PreparedRun {
                     content,
                 })
                 .collect(),
-        })
+        }
+    }
+}
+
+impl ResultSink for RunBodySink {
+    fn layer(&mut self, result: LayerResult) {
+        self.summary.add(&result);
+        self.reports.layer(result);
     }
 }
 
@@ -698,8 +709,7 @@ impl PreparedScaleout {
     }
 
     /// Executes the run, collecting the response body: the summary plus
-    /// a `SCALEOUT_REPORT.csv` byte-identical to the file the CLI
-    /// writes.
+    /// the `SCALEOUT_REPORT.csv` the CLI writes to disk.
     ///
     /// # Errors
     ///

@@ -1,5 +1,6 @@
-//! End-to-end tests of the `scalesim` binary: argument rejection and
-//! sweep-report determinism across thread counts and shard counts.
+//! End-to-end tests of the `scalesim` binary: argument rejection,
+//! sweep-report determinism across thread counts and shard counts, and
+//! report files equal to the service's response reports.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -202,5 +203,136 @@ fn sweep_without_topologies_fails_with_message() {
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("no topologies"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Asserts `dir` holds exactly one file per report, named after it and
+/// holding its bytes.
+fn assert_dir_holds_exactly(dir: &Path, reports: &[scalesim::api::Report]) {
+    let mut on_disk: Vec<String> = std::fs::read_dir(dir)
+        .expect("read output dir")
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    on_disk.sort();
+    let mut names: Vec<String> = reports.iter().map(|r| r.name.clone()).collect();
+    names.sort();
+    assert_eq!(on_disk, names, "files in {}", dir.display());
+    for report in reports {
+        let bytes = std::fs::read(dir.join(&report.name)).unwrap();
+        assert!(
+            bytes == report.content.as_bytes(),
+            "{}: CLI file differs from the service response",
+            report.name
+        );
+    }
+}
+
+/// The CLI writes the reports its wire response carries: a sparse run
+/// with every per-layer feature on, and an llm run, each leave exactly
+/// the response's report files in an empty `-p` directory, byte for
+/// byte.
+#[test]
+fn cli_files_are_exactly_the_service_response_reports() {
+    use scalesim::api::{
+        ConfigSource, Features, LlmRequest, RunSpec, SimRequest, SimResponse, TopologyFormat,
+        TopologySource,
+    };
+    use scalesim::service::SimService;
+
+    let dir = tmp_dir("one-report-path");
+    let cfg = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../configs/sparse_vegeta.cfg");
+    let topo = dir.join("net_gemm.csv");
+    std::fs::write(&topo, "Layer, M, K, N,\na, 32, 64, 32,\nb, 48, 32, 40,\n").unwrap();
+    let run_out = dir.join("run");
+    let out = bin()
+        .arg("-c")
+        .arg(&cfg)
+        .arg("-t")
+        .arg(&topo)
+        .args(["--gemm", "--dram", "--energy", "--layout", "-p"])
+        .arg(&run_out)
+        .output()
+        .expect("spawn scalesim");
+    assert!(
+        out.status.success(),
+        "cli run failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let service = SimService::new();
+    let request = SimRequest::Run(RunSpec {
+        config: ConfigSource::Path(cfg.display().to_string()),
+        topology: TopologySource::from_path(topo.display().to_string())
+            .with_format(TopologyFormat::Gemm),
+        features: Features {
+            dram: true,
+            energy: true,
+            layout: true,
+            cores: None,
+        },
+    });
+    let SimResponse::Run(body) = service.handle(&request).expect("valid run") else {
+        panic!("expected run body")
+    };
+    assert_eq!(
+        body.reports.len(),
+        5,
+        "compute, bandwidth, sparse, energy, dram"
+    );
+    assert_dir_holds_exactly(&run_out, &body.reports);
+
+    let llm_cfg = dir.join("tiny_llm.cfg");
+    std::fs::write(
+        &llm_cfg,
+        "[llm]\nPreset : gpt2-xl\nLayers : 2\nDModel : 64\nHeads : 4\nKvHeads : 4\n\
+         DFf : 128\nVocab : 256\nSeq : 16\nBatch : 1\n",
+    )
+    .unwrap();
+    let llm_out = dir.join("llm");
+    let out = bin()
+        .args(["llm", "--phase", "decode", "-c"])
+        .arg(&llm_cfg)
+        .arg("-p")
+        .arg(&llm_out)
+        .output()
+        .expect("spawn scalesim");
+    assert!(
+        out.status.success(),
+        "cli llm failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let request = SimRequest::Llm(LlmRequest {
+        config: ConfigSource::Path(llm_cfg.display().to_string()),
+        phase: Some("decode".into()),
+        ..Default::default()
+    });
+    let SimResponse::Llm(body) = service.handle(&request).expect("valid llm run") else {
+        panic!("expected llm body")
+    };
+    assert_dir_holds_exactly(&llm_out, &body.reports);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A report that cannot be written is an io error (exit 4) naming the
+/// file.
+#[test]
+fn unwritable_report_is_an_io_error_naming_the_file() {
+    let dir = tmp_dir("unwritable");
+    let topo = dir.join("net_gemm.csv");
+    std::fs::write(&topo, "Layer, M, K, N,\na, 16, 16, 16,\n").unwrap();
+    let out_dir = dir.join("out");
+    std::fs::create_dir_all(out_dir.join("COMPUTE_REPORT.csv")).unwrap();
+    let out = bin()
+        .arg("-t")
+        .arg(&topo)
+        .args(["--gemm", "-p"])
+        .arg(&out_dir)
+        .output()
+        .expect("spawn scalesim");
+    assert_eq!(out.status.code(), Some(4), "io errors exit with 4");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("COMPUTE_REPORT.csv"),
+        "must name the file: {stderr}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

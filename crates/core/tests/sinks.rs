@@ -1,18 +1,12 @@
 //! Behavioral coverage for the [`ResultSink`] implementations beyond
-//! the byte-equivalence tests in `src/sink.rs`:
-//!
-//! * `CsvReportSink` writes each section header exactly once, flushes
-//!   on drop (via its buffered writers) even without `finish`, and
-//!   latches the first I/O error without corrupting co-sinks.
-//! * `CollectSink` and `RunSummary` keep their O(1)/ordering invariants
-//!   when a teed CSV sink errors mid-stream.
+//! the byte-equivalence tests in `src/sink.rs`: the one report emitter,
+//! `MemoryReportSink`, writes each section header exactly once and
+//! follows the lazy-section policy.
 
 use scalesim::{
-    CollectSink, CsvReportSink, LayerResult, MemoryReportSink, ReportSections, ResultSink,
-    RunSummary, ScaleSim, ScaleSimConfig,
+    LayerResult, MemoryReportSink, ReportSections, ResultSink, ScaleSim, ScaleSimConfig,
 };
 use scalesim_systolic::{ArrayShape, Layer, MemoryConfig, Topology};
-use std::path::PathBuf;
 
 fn config() -> ScaleSimConfig {
     let mut config = ScaleSimConfig::default();
@@ -33,27 +27,23 @@ fn layers(n: usize) -> Vec<LayerResult> {
     sim.run_topology(&topo).layers
 }
 
-fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("scalesim-sinks-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
-
 #[test]
 fn csv_sink_writes_each_header_exactly_once() {
-    let dir = tmp_dir("header");
-    let mut sink = CsvReportSink::new(&dir, ReportSections::for_config(&config()));
+    let mut sink = MemoryReportSink::new(ReportSections::for_config(&config()));
     for l in layers(7) {
         sink.layer(l);
     }
-    sink.finish().unwrap();
-    for file in [
-        "COMPUTE_REPORT.csv",
-        "BANDWIDTH_REPORT.csv",
-        "ENERGY_REPORT.csv",
-    ] {
-        let text = std::fs::read_to_string(dir.join(file)).unwrap();
+    let reports = sink.finish();
+    let names: Vec<_> = reports.iter().map(|(name, _)| *name).collect();
+    assert_eq!(
+        names,
+        [
+            "COMPUTE_REPORT.csv",
+            "BANDWIDTH_REPORT.csv",
+            "ENERGY_REPORT.csv"
+        ]
+    );
+    for (file, text) in &reports {
         let header = text.lines().next().unwrap().to_string();
         assert_eq!(
             text.lines().filter(|l| **l == header).count(),
@@ -62,72 +52,6 @@ fn csv_sink_writes_each_header_exactly_once() {
         );
         assert_eq!(text.lines().count(), 8, "{file}: 1 header + 7 rows");
     }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn csv_sink_flushes_on_drop_without_finish() {
-    let dir = tmp_dir("drop");
-    {
-        let mut sink = CsvReportSink::new(&dir, ReportSections::for_config(&config()));
-        for l in layers(3) {
-            sink.layer(l);
-        }
-        // No finish(): dropping the sink drops its BufWriters, which
-        // flush buffered rows on the way out.
-    }
-    let text = std::fs::read_to_string(dir.join("COMPUTE_REPORT.csv")).unwrap();
-    assert_eq!(text.lines().count(), 4, "rows must survive an early drop");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// An out_dir that never exists makes the very first row fail to open
-/// its file: the sink latches the error, every later row is a quiet
-/// no-op (no panic), and `finish` surfaces the original failure.
-#[test]
-fn csv_sink_latches_io_errors_mid_stream() {
-    let missing = std::env::temp_dir()
-        .join(format!("scalesim-sinks-missing-{}", std::process::id()))
-        .join("definitely/not/created");
-    let mut csv = CsvReportSink::new(&missing, ReportSections::for_config(&config()));
-    let all = layers(5);
-    for l in &all {
-        csv.layer(l.clone()); // must not panic after the first failure
-    }
-    let err = csv.finish().expect_err("finish must report the I/O error");
-    assert!(err.contains("COMPUTE_REPORT.csv"), "{err}");
-}
-
-/// The error-latched CSV sink must not disturb sinks it is teed with:
-/// the collector sees every layer in order and the O(1) summary matches
-/// the collected reductions exactly.
-#[test]
-fn teed_collect_and_summary_survive_a_failing_csv_sink() {
-    let missing = std::env::temp_dir()
-        .join(format!("scalesim-sinks-missing2-{}", std::process::id()))
-        .join("nope");
-    let mut csv = CsvReportSink::new(&missing, ReportSections::for_config(&config()));
-    let mut collect = CollectSink::new();
-    let mut summary = RunSummary::new();
-
-    let all = layers(6);
-    for l in &all {
-        csv.layer(l.clone());
-        summary.add(l);
-        collect.layer(l.clone());
-    }
-    assert!(csv.finish().is_err(), "csv sink saw the error");
-
-    let run = collect.into_run();
-    assert_eq!(run.layers.len(), 6, "collector kept every layer");
-    let names: Vec<_> = run.layers.iter().map(|l| l.name.as_str()).collect();
-    assert_eq!(names, ["l0", "l1", "l2", "l3", "l4", "l5"], "in order");
-    assert_eq!(summary.layers, 6);
-    assert_eq!(summary.total_cycles, run.total_cycles());
-    assert_eq!(summary.compute_cycles, run.total_compute_cycles());
-    assert_eq!(summary.stall_cycles, run.total_stall_cycles());
-    assert_eq!(summary.macs, run.total_macs());
-    assert!((summary.energy_mj() - run.total_energy_mj()).abs() < 1e-12);
 }
 
 /// The in-memory report sink (what serve-mode responses are built from)
@@ -167,7 +91,7 @@ fn memory_sink_matches_batch_emitters() {
     );
 
     // Zero layers: always-on sections are header-only, optional ones
-    // absent — exactly what CsvReportSink creates on disk.
+    // absent.
     let empty = MemoryReportSink::new(ReportSections::for_config(&cfg)).finish();
     assert_eq!(empty.len(), 2);
     assert_eq!(empty[0].0, "COMPUTE_REPORT.csv");

@@ -21,9 +21,9 @@
 //!    2D-mesh package topology model (XY routing, memory-port placement,
 //!    link serialization) that derives those profiles.
 //!
-//! The [`sim`] module runs the partitioned sub-GEMMs through the
-//! cycle-accurate single-core simulator and aggregates makespan, traffic
-//! and per-core reports.
+//! [`partition_layer`] resolves one layer's split for the integrated
+//! engine, whose compute stage runs the representative core's sub-GEMM
+//! through the cycle-accurate single-core simulator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +34,6 @@ pub mod nonuniform;
 pub mod nop;
 pub mod partition;
 pub mod pipeline;
-pub mod sim;
 pub mod simd;
 
 pub use hetero::{HeteroAccelerator, TensorCore};
@@ -42,9 +41,9 @@ pub use l2::{L2Config, L2Report};
 pub use nonuniform::{non_uniform_split, uniform_split_makespan, NopProfile};
 pub use nop::{MemoryPortPlacement, NopMesh};
 pub use partition::{
-    best_partition, core_subgemm, factor_pairs, memory_footprint_words, runtime_cycles,
-    MappingDims, PartitionChoice, PartitionGrid, PartitionObjective, PartitionScheme,
+    best_partition, core_subgemm, factor_pairs, memory_footprint_words, partition_layer,
+    runtime_cycles, MappingDims, PartitionChoice, PartitionGrid, PartitionObjective,
+    PartitionScheme, PartitionedLayer,
 };
 pub use pipeline::{Op, OpKind, PipelineReport, PipelineSchedule, TransformerBlock, Unit};
-pub use sim::{partition_layer, MultiCoreConfig, MultiCoreReport, MultiCoreSim, PartitionedLayer};
 pub use simd::{SimdOp, SimdUnit};

@@ -15,7 +15,7 @@
 //! partition, cores in the same column share the weight partition, and
 //! temporal partitioning of `T` replicates partial outputs instead.
 
-use crate::l2::L2Config;
+use crate::l2::{L2Config, L2Report};
 use scalesim_systolic::{ArrayShape, Dataflow, FoldGeometry, GemmShape};
 use std::fmt;
 
@@ -266,6 +266,47 @@ pub fn best_partition(
             PartitionObjective::MemoryFootprint => (c.footprint_words, c.cycles),
         })
         .expect("cores ≥ 1 always yields at least one grid")
+}
+
+/// One layer's resolved multi-core partitioning: the sub-GEMM each core
+/// executes, the shared-L2 analysis, the NoC fill traffic and the DRAM
+/// bandwidth each core sees. Under uniform partitioning every core runs
+/// the same sub-GEMM, so one representative core stands for the grid.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PartitionedLayer {
+    /// The sub-GEMM every (symmetric) core executes.
+    pub sub_gemm: GemmShape,
+    /// Cores in the grid.
+    pub cores: usize,
+    /// Shared-L2 analysis (present when an L2 is configured).
+    pub l2: Option<L2Report>,
+    /// Words moved L2→L1 over the on-chip network (0 without L2).
+    pub noc_words: u64,
+    /// DRAM bandwidth available to one core, in words/cycle.
+    pub per_core_bandwidth: f64,
+}
+
+/// Resolves one layer's multi-core partitioning: splits the GEMM across
+/// the grid under `scheme`, evaluates the shared L2 when configured, and
+/// divides the shared DRAM interface bandwidth across cores (floored at
+/// 1/8 word per cycle so a huge grid still makes progress).
+pub fn partition_layer(
+    dataflow: Dataflow,
+    scheme: PartitionScheme,
+    gemm: GemmShape,
+    grid: PartitionGrid,
+    l2_config: Option<L2Config>,
+    dram_bandwidth: f64,
+) -> PartitionedLayer {
+    let sub_gemm = core_subgemm(dataflow, scheme, gemm, grid);
+    let l2 = l2_config.map(|_| L2Report::evaluate(scheme, MappingDims::new(dataflow, gemm), grid));
+    PartitionedLayer {
+        sub_gemm,
+        cores: grid.cores(),
+        l2,
+        noc_words: l2.map_or(0, |r| r.l1_fill_words),
+        per_core_bandwidth: (dram_bandwidth / grid.cores() as f64).max(0.125),
+    }
 }
 
 #[cfg(test)]

@@ -83,27 +83,17 @@ where
 /// long `items` is.
 ///
 /// Returns the peak number of simultaneously buffered results (at most
-/// `min(block, items.len())`), so callers can assert the bound.
-pub fn parallel_map_streamed<T, R, F, C>(items: &[T], block: usize, f: F, mut consume: C) -> usize
+/// `min(block, items.len())`; 1 on a single worker, which consumes each
+/// result as it is produced), so callers can assert the bound. This is
+/// [`parallel_map_streamed_cancellable`] with a hook that never fires.
+pub fn parallel_map_streamed<T, R, F, C>(items: &[T], block: usize, f: F, consume: C) -> usize
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
     C: FnMut(usize, R),
 {
-    let block = block.max(1);
-    let mut peak = 0usize;
-    let mut start = 0usize;
-    while start < items.len() {
-        let end = (start + block).min(items.len());
-        let results = parallel_map(&items[start..end], |i, item| f(start + i, item));
-        peak = peak.max(results.len());
-        for (offset, r) in results.into_iter().enumerate() {
-            consume(start + offset, r);
-        }
-        start = end;
-    }
-    peak
+    parallel_map_streamed_cancellable(items, block, &|| false, f, consume)
 }
 
 /// [`parallel_map_streamed`] with a cancellation hook: `cancelled` is
